@@ -108,6 +108,18 @@ for app in connectbot mytracks zxing todolist browser firefox vlc fbreader camer
         echo "FAIL: $app --detector hb report differs from pinned golden report" >&2
         exit 1
     fi
+    # The predictive backend's report, work counters included, must not
+    # depend on the thread count either.
+    ./target/release/cafa analyze "$trace" --format json --detector both --threads 1 \
+        > "$tmpdir/$app.both.t1.json"
+    for threads in 2 8; do
+        ./target/release/cafa analyze "$trace" --format json --detector both \
+            --threads "$threads" > "$tmpdir/$app.both.t$threads.json"
+        if ! cmp -s "$tmpdir/$app.both.t1.json" "$tmpdir/$app.both.t$threads.json"; then
+            echo "FAIL: $app --detector both differs between --threads 1 and $threads" >&2
+            exit 1
+        fi
+    done
     for threads in 1 2 8; do
         ./target/release/cafa analyze "$trace" --format json --threads "$threads" \
             > "$tmpdir/$app.t$threads.json"

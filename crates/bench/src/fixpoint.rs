@@ -100,7 +100,7 @@ pub fn measure(label: &str, trace: &Trace) -> FixpointRow {
     });
     let naive = time_engine(trace, &config, |t, c| {
         let mut g = base_graph(t, c);
-        derive_naive(&mut g, t, c).expect("naive fixpoint converges")
+        derive_naive(&mut g, t, c, None).expect("naive fixpoint converges")
     });
     assert_eq!(
         semi.derived_edges, naive.derived_edges,

@@ -175,7 +175,11 @@ pub fn main() {
 fn render_json(rows: &[PredictRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    out.push_str("{\n  \"seed\": 0,\n  \"apps\": [\n");
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let _ = write!(
+        out,
+        "{{\n  \"seed\": 0,\n  \"host_cpus\": {host_cpus},\n  \"apps\": [\n"
+    );
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         let _ = writeln!(

@@ -39,7 +39,7 @@ fn semi_naive_is_not_slower_on_small_synthetic_tiers() {
         });
         let (naive_wall, naive_edges) = best_wall(&trace, |t| {
             let mut g = base_graph(t, &config);
-            derive_naive(&mut g, t, &config)
+            derive_naive(&mut g, t, &config, None)
                 .expect("naive converges")
                 .derived_edges()
         });

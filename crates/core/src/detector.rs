@@ -366,14 +366,12 @@ impl Analyzer {
         // and the already-built HB model (for same-looper topology and
         // the both/predictive-only classification).
         let predictive = if self.config.detector.runs_predictive() {
-            let pmodel = passes.run("predict-build", || {
-                match PredictModel::build(trace, self.config.threads) {
-                    Ok(m) => {
-                        let edges = m.stats().derived_edges;
-                        (Ok(m), edges)
-                    }
-                    Err(e) => (Err(HbError::from(e)), 0),
+            let pmodel = passes.run("predict-build", || match PredictModel::build(trace) {
+                Ok(m) => {
+                    let edges = m.stats().external_edges;
+                    (Ok(m), edges)
                 }
+                Err(e) => (Err(e), 0),
             })?;
             let section = passes.run("predict-candidates", || {
                 let s = predictive_section(&self.config, ops, &model, &pmodel, trace, &races);
@@ -532,10 +530,12 @@ fn enumerate_candidates(
 /// (use, free) pairs, applies the predictive filter discipline, and
 /// classifies each survivor against the HB report set.
 ///
-/// Enumeration mirrors [`enumerate_candidates`] — per-variable fan-out
-/// over the fleet pool, (use pc, free pc) dedup, the per-variable pair
-/// cap — but asks the predictive order instead of HB, so the result is
-/// identical at any thread count for the same reasons. Filtering
+/// Enumeration mirrors [`enumerate_candidates`] — per-variable order,
+/// (use pc, free pc) dedup, the per-variable pair cap — but asks the
+/// predictive order instead of HB. It runs on one thread: the
+/// predictive queries serialize on the demand engine's lock anyway,
+/// and a fixed query order keeps the engine's work counters, which the
+/// report prints, identical at any `--threads`. Filtering
 /// differs in exactly one rule: a common monitor suppresses a pair
 /// only when the two tasks also conflict on state *beyond* the racing
 /// variable ([`PredictModel::tasks_conflict_besides`]) — a lock whose
@@ -548,18 +548,10 @@ fn predictive_section(
     config: &DetectorConfig,
     ops: &MemoryOps,
     model: &HbModel,
-    pmodel: &PredictModel,
+    pmodel: &PredictModel<'_>,
     trace: &Trace,
     hb_races: &[UseFreeRace],
 ) -> PredictiveSection {
-    let p = pmodel.stats();
-    let mut stats = PredictiveStats {
-        rounds: p.rounds,
-        derived_edges: p.derived_edges,
-        gated: p.gated,
-        external_edges: p.external_edges,
-        ..PredictiveStats::default()
-    };
     let hb_keys: HashSet<(VarId, Pc, Pc)> = hb_races
         .iter()
         .map(|r| (r.var, r.use_site.read_pc, r.free_site.pc))
@@ -572,22 +564,12 @@ fn predictive_section(
         v
     };
 
-    /// One variable's predictive enumeration result.
-    struct VarResult {
-        found: Vec<PredictiveRace>,
-        pairs_checked: usize,
-        filtered: usize,
-        truncated: bool,
-    }
-
-    let threads = cafa_hb::resolve_threads(config.threads);
-    let per_var = cafa_engine::fleet::map(&candidate_vars, threads, |&var| {
+    let mut races: Vec<PredictiveRace> = Vec::new();
+    let mut stats = PredictiveStats::default();
+    for &var in &candidate_vars {
         let vo = ops.var_ops(var).expect("candidate var has ops");
-        let mut found: Vec<PredictiveRace> = Vec::new();
         let mut seen: HashSet<(Pc, Pc)> = HashSet::new();
         let mut pairs_checked = 0usize;
-        let mut filtered = 0usize;
-        let mut truncated = false;
         'pairs: for &ui in &vo.uses {
             for &fi in &vo.frees {
                 let use_site = ops.uses[ui];
@@ -599,7 +581,7 @@ fn predictive_section(
                     continue;
                 }
                 if pairs_checked >= config.max_pairs_per_var {
-                    truncated = true;
+                    stats.truncated_vars += 1;
                     break 'pairs;
                 }
                 pairs_checked += 1;
@@ -617,7 +599,7 @@ fn predictive_section(
                 if predictive_filtered(
                     config, model, pmodel, &locks, ops, var, &use_site, &free_site,
                 ) {
-                    filtered += 1;
+                    stats.filtered += 1;
                     continue;
                 }
                 let class = if hb_keys.contains(&(var, use_site.read_pc, free_site.pc)) {
@@ -625,7 +607,7 @@ fn predictive_section(
                 } else {
                     PredictClass::PredictiveOnly
                 };
-                found.push(PredictiveRace {
+                races.push(PredictiveRace {
                     var,
                     use_site,
                     free_site,
@@ -633,23 +615,14 @@ fn predictive_section(
                 });
             }
         }
-        VarResult {
-            found,
-            pairs_checked,
-            filtered,
-            truncated,
-        }
-    });
-
-    let mut races: Vec<PredictiveRace> = Vec::new();
-    for r in per_var {
-        stats.pairs_checked += r.pairs_checked;
-        stats.filtered += r.filtered;
-        if r.truncated {
-            stats.truncated_vars += 1;
-        }
-        races.extend(r.found);
+        stats.pairs_checked += pairs_checked;
     }
+    // The rule counters grew with the queries above; read them last.
+    let p = pmodel.stats();
+    stats.rounds = p.rounds;
+    stats.derived_edges = p.derived_edges;
+    stats.gated = p.gated;
+    stats.external_edges = p.external_edges;
     PredictiveSection { races, stats }
 }
 
@@ -659,7 +632,7 @@ fn predictive_section(
 fn predictive_filtered(
     config: &DetectorConfig,
     model: &HbModel,
-    pmodel: &PredictModel,
+    pmodel: &PredictModel<'_>,
     locks: &LockSets,
     ops: &MemoryOps,
     var: VarId,

@@ -76,15 +76,15 @@ pub struct PredictiveRace {
     pub class: PredictClass,
 }
 
-/// Counters from the predictive fixpoint and enumeration, mirrored
-/// from `cafa_predict::PredictStats` plus the enumeration's own
-/// counts. No wall times — the JSON rendering stays a pure function
-/// of trace and configuration.
+/// Counters from the predictive model and enumeration, mirrored
+/// from `cafa_predict::PredictStats` (read after the enumeration's
+/// queries) plus the enumeration's own counts. No wall times — the
+/// JSON rendering stays a pure function of trace and configuration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictiveStats {
-    /// Rounds until the conflict-gated fixpoint converged.
+    /// Most settlement passes one predictive query needed.
     pub rounds: u32,
-    /// Atomicity/queue edges the gated fixpoint materialized.
+    /// Atomicity/queue edges the gated demand engine materialized.
     pub derived_edges: usize,
     /// Rule conclusions suppressed by the conflict gate — orderings HB
     /// keeps that the predictive relation deliberately drops.

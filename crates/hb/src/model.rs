@@ -7,11 +7,13 @@ use cafa_trace::{OpRef, TaskId, Trace};
 use crate::bitset::BitSet;
 use crate::build::base_graph_with_sends;
 use crate::config::CausalityConfig;
-use crate::demand::{DemandCore, DemandStats};
+use crate::demand::{ConflictGate, DemandCore, DemandStats};
 use crate::error::HbError;
 use crate::graph::{NodeId, SyncGraph};
 use crate::oracle::ReachOracle;
-use crate::rules::{fixpoint, flow, DerivationStats, EventTable, FixpointState};
+use crate::rules::{
+    collect_sends, fixpoint, flow, DerivationStats, EventTable, FixpointState, SendSite,
+};
 
 /// Event count at and above which [`HbModel::build`] switches from the
 /// eager fixpoint (which materializes the full event-order closure —
@@ -92,6 +94,12 @@ pub struct HbModel<'t> {
     stats: DerivationStats,
     topo: Vec<NodeId>,
     backend: Backend,
+    /// Lazily built constant-time reachability index over the full
+    /// derived relation; once present, operation-level queries use it.
+    /// Answers are identical either way, so building it never changes
+    /// a report. `Err` when a demand model's settled relation is
+    /// cyclic (an inconsistent trace).
+    oracle: OnceLock<Result<Box<ReachOracle>, HbError>>,
 }
 
 /// How a model answers derived-order queries. Both backends compute the
@@ -104,10 +112,6 @@ enum Backend {
     Eager {
         /// Per dense event `e`: events `e'` with `end(e') ≺ begin(e)`.
         before_begin: Vec<BitSet>,
-        /// Lazily built constant-time reachability index; once present,
-        /// operation-level queries skip the DFS. Answers are identical
-        /// either way, so building it never changes a report.
-        oracle: OnceLock<Box<ReachOracle>>,
     },
     /// Rules evaluated lazily per query (see `demand.rs`); the
     /// graph holds only base edges. The mutex keeps the model `Sync`
@@ -182,12 +186,48 @@ impl<'t> HbModel<'t> {
     #[doc(hidden)]
     pub fn build_demand(trace: &'t Trace, config: CausalityConfig) -> Result<Self, HbError> {
         let (graph, sends) = base_graph_with_sends(trace, &config);
+        Self::from_demand_parts(trace, config, graph, &sends, None)
+    }
+
+    /// Builds a demand-backend model over `graph` — a
+    /// [`base_graph`](crate::base_graph) of `trace` under `config` that
+    /// the caller may have extended with further base edges — with
+    /// `gate` on every rule conclusion. The predictive backend's
+    /// relation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HbError`] if `graph` is cyclic or an event task has
+    /// no queue.
+    pub fn build_gated(
+        trace: &'t Trace,
+        config: CausalityConfig,
+        mut graph: SyncGraph,
+        gate: ConflictGate,
+    ) -> Result<Self, HbError> {
+        // Fold the caller's edges into the flat adjacency the cone
+        // walks read.
+        graph.compact();
+        let sends = collect_sends(&graph, trace);
+        Self::from_demand_parts(trace, config, graph, &sends, Some(gate))
+    }
+
+    fn from_demand_parts(
+        trace: &'t Trace,
+        config: CausalityConfig,
+        graph: SyncGraph,
+        sends: &[SendSite],
+        gate: Option<ConflictGate>,
+    ) -> Result<Self, HbError> {
         let topo = graph
             .topo_order()
             .map_err(|nodes| HbError::cyclic(&graph, &nodes))?;
         let table = EventTable::new(trace)?;
         let mut core = DemandCore::new(&graph, table.clone(), config);
-        core.register_sends(&graph, &sends);
+        if let Some(gate) = gate {
+            core.set_gate(gate);
+        }
+        core.register_sends(&graph, sends);
         Ok(Self {
             trace,
             config,
@@ -196,6 +236,7 @@ impl<'t> HbModel<'t> {
             stats: DerivationStats::default(),
             topo,
             backend: Backend::Demand(Box::new(Mutex::new(core))),
+            oracle: OnceLock::new(),
         })
     }
 
@@ -242,10 +283,8 @@ impl<'t> HbModel<'t> {
             table,
             stats,
             topo,
-            backend: Backend::Eager {
-                before_begin,
-                oracle: OnceLock::new(),
-            },
+            backend: Backend::Eager { before_begin },
+            oracle: OnceLock::new(),
         })
     }
 
@@ -253,27 +292,36 @@ impl<'t> HbModel<'t> {
     /// constructing its begin matrix with `threads` scoped workers
     /// (`0` = auto; see [`crate::resolve_threads`]). Subsequent
     /// [`happens_before`](HbModel::happens_before) queries use the
-    /// index instead of a DFS.
+    /// index instead of a DFS or a lazy cone walk.
     ///
-    /// # Panics
+    /// On the demand backend this settles every rule anchor first, then
+    /// closes the base and derived edges together — the bulk path for
+    /// callers about to ask a quadratic number of queries.
     ///
-    /// Panics on a demand-backend model: its graph holds only base
-    /// edges, so an oracle over it would answer without the derived
-    /// orders. Use [`ensure_reachability`](HbModel::ensure_reachability)
-    /// for backend-agnostic preparation.
-    pub fn ensure_oracle(&self, threads: usize) -> &ReachOracle {
-        match &self.backend {
-            Backend::Eager { oracle, .. } => oracle.get_or_init(|| {
-                Box::new(ReachOracle::build_with_topo(
-                    &self.graph,
-                    &self.topo,
-                    threads,
-                ))
-            }),
-            Backend::Demand(_) => {
-                panic!("ensure_oracle is eager-only; demand models answer queries lazily")
+    /// # Errors
+    ///
+    /// [`HbError::CyclicHappensBefore`] if a demand model's settled
+    /// relation is cyclic (an inconsistent trace the base graph alone
+    /// did not expose). Eager models never fail here.
+    pub fn ensure_oracle(&self, threads: usize) -> Result<&ReachOracle, HbError> {
+        let built = self.oracle.get_or_init(|| match self.backend.demand() {
+            None => Ok(Box::new(ReachOracle::build_with_topo(
+                &self.graph,
+                &self.topo,
+                threads,
+            ))),
+            Some(mut core) => {
+                core.settle_all(&self.graph);
+                let mut closed = self.graph.clone();
+                for (from, to, kind) in core.derived_edges(&self.graph) {
+                    closed.add_edge(from, to, kind);
+                }
+                ReachOracle::build(&closed, threads)
+                    .map(Box::new)
+                    .map_err(|nodes| HbError::cyclic(&closed, &nodes))
             }
-        }
+        });
+        built.as_deref().map_err(Clone::clone)
     }
 
     /// Prepares whatever reachability index the backend uses for bulk
@@ -283,19 +331,17 @@ impl<'t> HbModel<'t> {
     /// their own cones. Both return the graph's node count, so pass
     /// accounting is backend-independent.
     pub fn ensure_reachability(&self, threads: usize) -> usize {
-        match &self.backend {
-            Backend::Eager { .. } => self.ensure_oracle(threads).node_count(),
-            Backend::Demand(_) => self.graph.node_count(),
+        if let Backend::Eager { .. } = self.backend {
+            // The eager graph was verified acyclic at build time.
+            let _ = self.ensure_oracle(threads);
         }
+        self.graph.node_count()
     }
 
     /// The reachability index, if [`ensure_oracle`](HbModel::ensure_oracle)
-    /// has been called (never on the demand backend).
+    /// has built one.
     pub fn oracle(&self) -> Option<&ReachOracle> {
-        match &self.backend {
-            Backend::Eager { oracle, .. } => oracle.get().map(Box::as_ref),
-            Backend::Demand(_) => None,
-        }
+        self.oracle.get()?.as_deref().ok()
     }
 
     /// Work counters of the demand engine, when this model uses it.
@@ -367,13 +413,12 @@ impl<'t> HbModel<'t> {
         if a.task == b.task {
             return a.index < b.index;
         }
-        let Backend::Eager {
-            before_begin,
-            oracle,
-        } = &self.backend
-        else {
+        let Backend::Eager { before_begin } = &self.backend else {
             let from = self.graph.bracket_after(a);
             let to = self.graph.bracket_before(b);
+            if let Some(oracle) = self.oracle() {
+                return oracle.reaches(from, to);
+            }
             let mut core = self.backend.demand().expect("demand backend");
             return core.reaches(&self.graph, from, to);
         };
@@ -390,7 +435,7 @@ impl<'t> HbModel<'t> {
         }
         let from = self.graph.bracket_after(a);
         let to = self.graph.bracket_before(b);
-        if let Some(oracle) = oracle.get() {
+        if let Some(oracle) = self.oracle() {
             return oracle.reaches(from, to);
         }
         let mut scratch = BitSet::new(self.graph.node_count());

@@ -403,18 +403,25 @@ pub fn derive_eager_reference(
     derive(g, trace, config)
 }
 
-/// The naive reference derivation: identical signature and result to
-/// [`derive`], but driven by [`fixpoint_naive`]. Exposed (hidden) for
-/// the differential test suite and the fixpoint benchmark only.
+/// A conflict gate on rule conclusions: `gate(i, j)` over dense event
+/// indices decides whether a derived `end(e_i) → begin(e_j)` may fire.
+pub type RuleGate<'a> = &'a dyn Fn(u32, u32) -> bool;
+
+/// The naive reference derivation: with `gate: None`, identical result
+/// to [`derive`], but driven by [`fixpoint_naive`]. A gate drops every
+/// conclusion it rejects (the predictive relation's reference).
+/// Exposed (hidden) for the differential test suites and the fixpoint
+/// benchmark only.
 #[doc(hidden)]
 pub fn derive_naive(
     g: &mut SyncGraph,
     trace: &Trace,
     config: &CausalityConfig,
+    gate: Option<RuleGate<'_>>,
 ) -> Result<DerivationStats, HbError> {
     let mut st = FixpointState::new(trace)?;
     st.add_sends(&collect_sends(g, trace));
-    fixpoint_naive(g, config, &mut st)
+    fixpoint_naive(g, config, &mut st, gate)
 }
 
 /// Rule indices shared by both engines (immutable during a call).
@@ -423,6 +430,14 @@ struct RuleIndex<'a> {
     queue_mask: &'a [BitSet],
     sends: &'a [SendSite],
     queue_send_mask: &'a [BitSet],
+    /// Conclusion gate (naive reference only).
+    gate: Option<RuleGate<'a>>,
+}
+
+impl RuleIndex<'_> {
+    fn gated(&self, i: usize, j: usize) -> bool {
+        self.gate.is_some_and(|gate| !gate(i as u32, j as u32))
+    }
 }
 
 /// Round-start reachability facts, per node.
@@ -643,8 +658,8 @@ fn run_round(
                 if let Some((atom_done, _)) = &mut memos {
                     atom_done[j].insert(i1);
                 }
-                if set.contains(i1) {
-                    continue; // already implied
+                if set.contains(i1) || idx.gated(i1, j) {
+                    continue; // already implied, or gated off
                 }
                 if g.add_edge(g.end(idx.table.events[i1]), begin_j, EdgeKind::Atomicity) {
                     stats.atomicity_edges += 1;
@@ -692,8 +707,8 @@ fn run_round(
                         continue;
                     }
                     let i1 = idx.table.dense(s1.event).expect("sent tasks are events") as usize;
-                    if set.contains(i1) {
-                        continue; // already implied
+                    if set.contains(i1) || idx.gated(i1, j) {
+                        continue; // already implied, or gated off
                     }
                     let rule = if s1.front { 3u8 } else { 1 };
                     if g.add_edge(g.end(s1.event), begin_j, EdgeKind::Queue(rule)) {
@@ -739,8 +754,9 @@ fn run_round(
                 }
                 let i1 = idx.table.dense(s1.event).expect("sent tasks are events") as usize;
                 let i2 = idx.table.dense(s2.event).expect("sent tasks are events") as usize;
-                if prior_contains(evord, fired, fired_mask, rows, ctx, i1, i2) {
-                    continue; // already implied
+                if prior_contains(evord, fired, fired_mask, rows, ctx, i1, i2) || idx.gated(i2, i1)
+                {
+                    continue; // already implied, or gated off
                 }
                 let rule = if s1.front { 4u8 } else { 2 };
                 if g.add_edge(g.end(s2.event), begin_e1, EdgeKind::Queue(rule)) {
@@ -1000,6 +1016,7 @@ pub(crate) fn fixpoint_with_limit(
         queue_mask,
         sends,
         queue_send_mask,
+        gate: None,
     };
 
     // Per-call ordering scratch, refilled each round.
@@ -1188,6 +1205,7 @@ pub(crate) fn fixpoint_naive(
     g: &mut SyncGraph,
     config: &CausalityConfig,
     st: &mut FixpointState,
+    gate: Option<RuleGate<'_>>,
 ) -> Result<DerivationStats, HbError> {
     let mut stats = DerivationStats::default();
     if !config.atomicity_rule && !config.queue_rules {
@@ -1221,6 +1239,7 @@ pub(crate) fn fixpoint_naive(
         queue_mask,
         sends,
         queue_send_mask,
+        gate,
     };
 
     let mut topo_pos: Vec<u32> = vec![0; g.node_count()];
@@ -1492,7 +1511,7 @@ mod tests {
         let mut g_semi = base_graph(&trace, &config);
         let semi = derive(&mut g_semi, &trace, &config).unwrap();
         let mut g_naive = base_graph(&trace, &config);
-        let naive = derive_naive(&mut g_naive, &trace, &config).unwrap();
+        let naive = derive_naive(&mut g_naive, &trace, &config, None).unwrap();
 
         let mut edges_semi = g_semi.edge_log().to_vec();
         let mut edges_naive = g_naive.edge_log().to_vec();

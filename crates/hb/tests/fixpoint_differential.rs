@@ -46,7 +46,7 @@ fn assert_engines_agree(trace: &Trace, config: &CausalityConfig) {
     let mut g_semi = base_graph(trace, config);
     let mut g_naive = base_graph(trace, config);
     let semi = derive(&mut g_semi, trace, config);
-    let naive = derive_naive(&mut g_naive, trace, config);
+    let naive = derive_naive(&mut g_naive, trace, config, None);
     match (semi, naive) {
         (Ok(s), Ok(n)) => {
             assert_eq!(

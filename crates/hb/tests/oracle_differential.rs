@@ -124,7 +124,7 @@ proptest! {
         let Ok(model) = HbModel::build(&trace, CausalityConfig::cafa()) else {
             return Ok(()); // inconsistent trace, correctly rejected
         };
-        let oracle = model.ensure_oracle(threads);
+        let oracle = model.ensure_oracle(threads).expect("eager models are acyclic");
         assert_all_pairs(model.graph(), oracle);
     }
 }
@@ -154,7 +154,9 @@ fn oracle_matches_dfs_on_perturbed_catalog_traces() {
         for causality in [CausalityConfig::cafa(), CausalityConfig::conventional()] {
             let model = HbModel::build(&trace, causality).expect("real traces are consistent");
             let threads = if round % 2 == 0 { 1 } else { 8 };
-            let oracle = model.ensure_oracle(threads);
+            let oracle = model
+                .ensure_oracle(threads)
+                .expect("eager models are acyclic");
             if model.graph().node_count() <= 64 {
                 assert_all_pairs(model.graph(), oracle);
             } else {

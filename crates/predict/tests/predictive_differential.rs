@@ -73,7 +73,12 @@ fn predictive_order_is_contained_in_hb_order() {
         let hb = session
             .model(CausalityConfig::cafa())
             .expect("hb model builds");
-        let predict = PredictModel::build(trace, 1).expect("predictive model builds");
+        let predict = PredictModel::build(trace).expect("predictive model builds");
+        // The quadratic sample below answers through one settled
+        // closure instead of a lazy cone walk per pair.
+        predict
+            .ensure_oracle(1)
+            .expect("recorded traces settle acyclic");
 
         // Bounded deterministic sample: stride the op list so the
         // quadratic sweep stays small — the invariant is per-pair, so
