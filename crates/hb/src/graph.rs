@@ -333,6 +333,7 @@ impl SyncGraph {
 
     /// The compacted successor slice of `n` (empty when `n` postdates
     /// the last compaction).
+    #[inline]
     fn csr_succs(&self, n: NodeId) -> &[(NodeId, EdgeKind)] {
         let Some(c) = &self.csr else {
             panic!("adjacency queried on a deferred graph (missing compact())");
@@ -345,6 +346,7 @@ impl SyncGraph {
     }
 
     /// The compacted predecessor slice of `n`.
+    #[inline]
     fn csr_preds(&self, n: NodeId) -> &[NodeId] {
         let Some(c) = &self.csr else {
             panic!("adjacency queried on a deferred graph (missing compact())");
@@ -434,12 +436,14 @@ impl SyncGraph {
     /// Successors of `n`, with the kind of the connecting edge:
     /// the compacted CSR slice followed by any overlay edges added
     /// since the last compaction (chronological within each part).
+    #[inline]
     pub fn succs(&self, n: NodeId) -> impl Iterator<Item = (NodeId, EdgeKind)> + '_ {
         let over = self.over_succ.get(&n).map_or(&[][..], Vec::as_slice);
         self.csr_succs(n).iter().chain(over).copied()
     }
 
     /// Predecessors of `n` (CSR slice, then overlay).
+    #[inline]
     pub fn preds(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let over = self.over_pred.get(&n).map_or(&[][..], Vec::as_slice);
         self.csr_preds(n).iter().chain(over).copied()
